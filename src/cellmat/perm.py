@@ -98,21 +98,29 @@ class Permutation:
     def to_one_based(self) -> tuple[int, ...]:
         return tuple(v + 1 for v in self.mapping)
 
+    def _cycles(self) -> list[list[int]]:
+        """All cycles, fixed points included, 0-based; each starts at its
+        least element, and they come in increasing order of that element."""
+        seen = [False] * self.n
+        cycles: list[list[int]] = []
+        for start in range(self.n):
+            cycle = []
+            element = start
+            while not seen[element]:
+                seen[element] = True
+                cycle.append(element)
+                element = self.mapping[element]
+            if cycle:
+                cycles.append(cycle)
+        return cycles
+
     def cycles_string(self) -> str:
         """Canonical 1-based cycle notation, fixed points omitted."""
-        remaining = set(range(self.n))
-        parts: list[str] = []
-        while remaining:
-            start = min(remaining)
-            cycle = [start]
-            remaining.discard(start)
-            nxt = self.mapping[start]
-            while nxt != start:
-                cycle.append(nxt)
-                remaining.discard(nxt)
-                nxt = self.mapping[nxt]
-            if len(cycle) > 1:
-                parts.append("(" + " ".join(str(c + 1) for c in cycle) + ")")
+        parts = [
+            "(" + " ".join(str(c + 1) for c in cycle) + ")"
+            for cycle in self._cycles()
+            if len(cycle) > 1
+        ]
         return "".join(parts) if parts else "()"
 
     def compose(self, other: "Permutation") -> "Permutation":
@@ -134,20 +142,9 @@ class Permutation:
         applying the returned pairs to a vector in list order reproduces the
         action of the whole permutation.
         """
-        remaining = set(range(self.n))
-        pairs: list[tuple[int, int]] = []
-        while remaining:
-            start = min(remaining)
-            cycle = [start]
-            remaining.discard(start)
-            nxt = self.mapping[start]
-            while nxt != start:
-                cycle.append(nxt)
-                remaining.discard(nxt)
-                nxt = self.mapping[nxt]
-            for element in reversed(cycle[1:]):
-                pairs.append((cycle[0], element))
-        return tuple(pairs)
+        return tuple(
+            (cycle[0], element) for cycle in self._cycles() for element in reversed(cycle[1:])
+        )
 
     def to_json_dict(self) -> dict:
         return {"mapping": list(self.to_one_based())}
@@ -177,17 +174,18 @@ def permute_vector(x, pi: Permutation) -> PositiveVector:
 def transposition_similarity_check(x, l: int, k: int) -> bool:
     """Exact similarity of a transposition: ``P D(swap(x)) P == D(x)``.
 
-    ``l`` and ``k`` are 1-based positions.  The conjugated matrix contains
-    exactly the same floating-point sums rearranged, so the comparison is
-    entrywise equality with no tolerance.
+    ``l`` and ``k`` are 1-based positions.  Conjugating by the transposition
+    matrix ``P`` only reorders rows and columns, so the identity is checked as
+    ``D(swap(x)) == D(x)[idx, idx]`` with ``idx`` the swapped index order.
+    Both sides hold exactly the same floating-point sums, so the comparison
+    is entrywise equality with no tolerance.
     """
     x = _coerce_vector(x)
     pi = Permutation.transposition(x.n, l, k)
-    p = np.eye(x.n)
-    p[[l - 1, k - 1], :] = p[[k - 1, l - 1], :]
+    idx = np.array(pi.mapping)
     original = construct_cell_matrix(x).entries
     permuted = construct_cell_matrix(permute_vector(x, pi)).entries
-    return bool(np.array_equal(p @ permuted @ p, original))
+    return bool(np.array_equal(original[np.ix_(idx, idx)], permuted))
 
 
 @dataclass(frozen=True)

@@ -61,6 +61,16 @@ def test_spectrum_symmetric_noncell_matrix(capsys):
     assert payload["via_reduction"] is None
 
 
+@pytest.mark.parametrize("vector", ["[1e200, 2e200, 3e200]", "[1e-300, 2e-300, 3e-300]"])
+def test_spectrum_extreme_magnitudes(capsys, vector):
+    payload, _ = run_json(capsys, "spectrum", "--vector", vector)
+    m = cm.construct_cell_matrix(json.loads(vector)).entries
+    exponent = math.frexp(float(np.abs(m).max()))[1]
+    expected = np.ldexp(np.linalg.eigvalsh(np.ldexp(m, -exponent)), exponent)[::-1]
+    got = np.array(payload["eigenvalues"])
+    assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
 def test_spectrum_requires_one_input(capsys):
     code, out, _ = run_cli(capsys, "spectrum", "--vector", "[1,1]", "--matrix", "[[0]]")
     assert code == 2
@@ -218,6 +228,16 @@ def test_exit_code_domain_error(capsys):
 def test_exit_code_asymmetric_matrix(capsys):
     code, out, _ = run_cli(capsys, "spectrum", "--matrix", "[[0, 1], [2, 0]]")
     assert code == 3
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    ["[[0, Infinity], [Infinity, 0]]", "[[NaN, 1], [1, 0]]", "[[1e308, 1e308], [1e308, 1e308]]"],
+)
+def test_exit_code_non_finite_matrix_or_spectrum(capsys, matrix):
+    code, out, _ = run_cli(capsys, "spectrum", "--matrix", matrix)
+    assert code == 3
+    assert json.loads(out)["error"]["kind"] == "domain"
 
 
 def test_exit_code_order_limit(capsys):
