@@ -33,7 +33,6 @@ from .cell import (
     vector_to_json_dict,
 )
 from .eigen import (
-    PairSums,
     Polynomial,
     char_poly,
     eig_small_general,
@@ -81,7 +80,6 @@ __all__ = [
     "GroupedVector",
     "IEPSolution",
     "MembershipReport",
-    "PairSums",
     "Permutation",
     "PermInvarianceReport",
     "Polynomial",

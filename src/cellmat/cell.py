@@ -35,15 +35,46 @@ __all__ = [
 
 
 def _as_float_tuple(values) -> tuple[float, ...]:
-    return tuple(float(v) for v in values)
+    try:
+        return tuple(float(v) for v in values)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError("expected a collection of real numbers") from None
+
+
+def _checked_matrix(m, symmetric: bool = False, hollow: bool = False) -> np.ndarray:
+    """Float copy of ``m``, which must be a square array of finite reals.
+
+    ``symmetric`` also requires ``M == M^T`` and ``hollow`` a zero diagonal,
+    both judged against ``1e-12 * max|M|``.  Raises ``DomainError`` otherwise.
+    """
+    try:
+        a = np.array(m, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError("matrix entries must be real numbers in rows of equal length") from None
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DomainError("matrix is not square")
+    # max|M| without a temporary array; a NaN or an infinite entry makes it non-finite
+    tol = 1e-12 * max(float(a.max(initial=0.0)), -float(a.min(initial=0.0)))
+    if not math.isfinite(tol):
+        raise DomainError("matrix has a non-finite entry")
+    if symmetric:
+        # M - M^T is antisymmetric, so its max is max|M - M^T|; an entry
+        # that overflows is rejected all the same
+        with np.errstate(over="ignore"):
+            if float((a - a.T).max(initial=0.0)) > tol:
+                raise DomainError("matrix is not symmetric")
+    if hollow and float(np.abs(np.diag(a)).max(initial=0.0)) > tol:
+        raise DomainError("matrix has a nonzero diagonal entry")
+    return a
 
 
 def multisets_close(a, b, rtol: float) -> bool:
     """Tolerance-aware multiset equality of two real value collections.
 
     Both collections are sorted ascending and compared elementwise with
-    ``|a_i - b_i| <= rtol * max(1, max |value|)``, the max running over both
-    collections.
+    ``|a_i - b_i| <= rtol * max |value|``, the max running over both
+    collections, so the comparison is invariant under scaling.  A
+    non-finite value matches nothing.
     """
     left = sorted(float(v) for v in a)
     right = sorted(float(v) for v in b)
@@ -51,8 +82,8 @@ def multisets_close(a, b, rtol: float) -> bool:
         return False
     if not left:
         return True
-    scale = max(1.0, max(abs(v) for v in left + right))
-    return all(abs(x - y) <= rtol * scale for x, y in zip(left, right))
+    scale = max(abs(v) for v in left + right)
+    return math.isfinite(scale) and all(abs(x - y) <= rtol * scale for x, y in zip(left, right))
 
 
 @dataclass(frozen=True)
@@ -105,19 +136,13 @@ class CellMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        m = np.array(self.entries, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise DomainError("cell matrix entries must form a square array")
+        m = _checked_matrix(self.entries, symmetric=True, hollow=True)
         if self.order != m.shape[0]:
             raise DomainError(
                 f"declared order {self.order} does not match entry shape {m.shape}"
             )
-        scale = max(1.0, float(np.abs(m).max()))
-        if float(np.abs(m - m.T).max()) > 1e-12 * scale:
-            raise DomainError("cell matrix must be symmetric")
-        if float(np.abs(np.diag(m)).max()) > 1e-12 * scale:
-            raise DomainError("cell matrix must have a zero diagonal")
-        if float(m.min()) < -1e-12 * scale:
+        # the zero diagonal makes max(M) >= 0, so this is min(M) < -1e-12 max|M|
+        if float(m.min(initial=0.0)) < -1e-12 * float(m.max(initial=0.0)):
             raise DomainError("cell matrix entries must be nonnegative")
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
@@ -207,11 +232,13 @@ class GroupedVector:
 def construct_cell_matrix(x) -> CellMatrix:
     """Build the cell matrix with entries ``x[i] + x[j]`` off the diagonal.
 
-    Rejects any nonpositive or non-finite entry in the generating vector.
+    Rejects any nonpositive or non-finite entry in the generating vector,
+    and a vector whose pairwise sums overflow the float range.
     """
     x = _coerce_vector(x)
     v = x.as_array()
-    m = v[:, None] + v[None, :]
+    with np.errstate(over="ignore"):
+        m = v[:, None] + v[None, :]
     np.fill_diagonal(m, 0.0)
     return CellMatrix(order=x.n, entries=m)
 
@@ -219,21 +246,14 @@ def construct_cell_matrix(x) -> CellMatrix:
 def recognize_cell(m, rtol: float = 1e-9) -> PositiveVector:
     """Recover the generating vector of a cell matrix, or reject.
 
-    The matrix must be square, symmetric, and hollow.  For n >= 3 the linear
-    system ``x[i] + x[j] = M[i][j]`` is solved from the first row and every
-    entry is re-checked against the reconstruction within ``rtol`` (relative,
-    floored at 1).  For n = 2 the single equation is split symmetrically,
+    The matrix must be square, finite, symmetric, and hollow.  For n >= 3 the
+    linear system ``x[i] + x[j] = M[i][j]`` is solved from the first row and
+    every entry is re-checked against the reconstruction within
+    ``rtol * max|M|``.  For n = 2 the single equation is split symmetrically,
     ``x = (M[0][1]/2, M[0][1]/2)``.  n = 1 is rejected as underdetermined.
     """
-    a = np.array(m, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DomainError("matrix is not square")
+    a = _checked_matrix(m, symmetric=True, hollow=True)
     n = a.shape[0]
-    scale = max(1.0, float(np.abs(a).max()))
-    if float(np.abs(a - a.T).max()) > 1e-12 * scale:
-        raise DomainError("matrix is not symmetric")
-    if float(np.abs(np.diag(a)).max()) > 1e-12 * scale:
-        raise DomainError("matrix has a nonzero diagonal entry")
     if n == 1:
         raise DomainError("order-1 matrix does not determine a generating vector")
     if n == 2:
@@ -242,16 +262,19 @@ def recognize_cell(m, rtol: float = 1e-9) -> PositiveVector:
             raise DomainError(f"no strictly positive generating vector: x = ({half}, {half})")
         return PositiveVector((half, half))
     x = np.empty(n)
-    x[0] = (a[0, 1] + a[0, 2] - a[1, 2]) / 2.0
-    x[1:] = a[0, 1:] - x[0]
-    residual = np.abs(a - (x[:, None] + x[None, :]))
+    # sums that overflow (no cell matrix) leave a non-finite residual: "not <=" flags it
+    with np.errstate(over="ignore", invalid="ignore"):
+        x[0] = (a[0, 1] + a[0, 2] - a[1, 2]) / 2.0
+        x[1:] = a[0, 1:] - x[0]
+        sums = x[:, None] + x[None, :]
+        residual = np.abs(a - sums)
     np.fill_diagonal(residual, 0.0)
-    bad = residual > rtol * np.maximum(1.0, np.abs(a))
+    bad = ~(residual <= rtol * float(np.abs(a).max()))
     if bad.any():
         i, j = np.argwhere(bad)[0]
         raise DomainError(
             f"entries are inconsistent with a cell matrix: M[{i}][{j}]={a[i, j]!r} "
-            f"but x[{i}]+x[{j}]={x[i] + x[j]!r}"
+            f"but x[{i}]+x[{j}]={sums[i, j]!r}"
         )
     if x.min() <= 0.0:
         i = int(np.argmin(x))
@@ -264,15 +287,21 @@ def principal_subdeterminant(x, i: int) -> float:
 
     Evaluates ``(-1)^(i-1) * 2^(i-2) * (4(i-1) + sum_{j<=i} sum_{l<j}
     (x_j - x_l)^2 / (x_j x_l)) * prod_{k<=i} x_k`` for 1-based order ``i``.
+    The formula is 0 at order 1 and never 0 above it, so a value that
+    overflows, or underflows to 0 at order >= 2, raises ``DomainError``.
     """
     x = _coerce_vector(x)
     if not 1 <= i <= x.n:
         raise DomainError(f"principal order {i} out of range 1..{x.n}")
     v = x.as_array()[:i]
-    diff = v[:, None] - v[None, :]
-    ratio = diff * diff / np.outer(v, v)
-    bracket = 4.0 * (i - 1) + float(np.triu(ratio, 1).sum())
-    return (-1.0) ** (i - 1) * 2.0 ** (i - 2) * bracket * float(v.prod())
+    with np.errstate(all="ignore"):
+        diff = v[:, None] - v[None, :]
+        ratio = diff * diff / np.outer(v, v)
+        bracket = 4.0 * (i - 1) + float(np.triu(ratio, 1).sum())
+        value = (-1.0) ** (i - 1) * 2.0 ** (i - 2) * bracket * float(v.prod())
+    if not math.isfinite(value) or (value == 0.0 and i >= 2):
+        raise DomainError(f"order-{i} principal subdeterminant {value!r} is not finite and nonzero")
+    return value
 
 
 def numeric_determinant(m) -> float:
@@ -281,9 +310,7 @@ def numeric_determinant(m) -> float:
     The sign is tracked through row swaps; a zero pivot column short-circuits
     to an exact 0.
     """
-    a = np.array(m, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DomainError("matrix is not square")
+    a = _checked_matrix(m)
     n = a.shape[0]
     sign = 1.0
     for col in range(n):
@@ -299,31 +326,42 @@ def numeric_determinant(m) -> float:
 
 
 def group_vector(x, tol: float = 1e-12) -> GroupedVector:
-    """Partition a positive vector into groups of equal values (within tol).
+    """Partition a positive vector into groups of equal values.
 
+    A value joins the first group whose first value lies within
+    ``tol * max(x)`` of it, so the grouping is invariant under scaling.
     Groups are reported in order of first appearance.  Rejects vectors where
     any value occurs only once, since the grouped constructions need every
     value repeated.
     """
+    return _grouping(x, tol)[0]
+
+
+def _grouping(x, tol: float) -> tuple[GroupedVector, list[int]]:
+    """:func:`group_vector` together with the group index of every entry."""
     x = _coerce_vector(x)
     if not (math.isfinite(tol) and tol >= 0.0):
         raise DomainError("grouping tolerance must be a nonnegative real")
+    radius = tol * max(x.entries)
     reps: list[float] = []
     counts: list[int] = []
+    ids: list[int] = []
     for value in x:
         for idx, rep in enumerate(reps):
-            if abs(value - rep) <= tol:
+            if abs(value - rep) <= radius:
                 counts[idx] += 1
                 break
         else:
+            idx = len(reps)
             reps.append(value)
             counts.append(1)
+        ids.append(idx)
     for rep, count in zip(reps, counts):
         if count < 2:
             raise DomainError(
                 f"value {rep!r} occurs only once; every value must repeat at least twice"
             )
-    return GroupedVector(tuple(reps), tuple(counts))
+    return GroupedVector(tuple(reps), tuple(counts)), ids
 
 
 # --- JSON schemas used by the CLI ---------------------------------------
@@ -331,9 +369,7 @@ def group_vector(x, tol: float = 1e-12) -> GroupedVector:
 
 
 def matrix_to_json_dict(m) -> dict:
-    a = m.entries if isinstance(m, CellMatrix) else np.array(m, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DomainError("matrix is not square")
+    a = m.entries if isinstance(m, CellMatrix) else _checked_matrix(m)
     return {"n": int(a.shape[0]), "rows": [[float(v) for v in row] for row in a]}
 
 
@@ -344,8 +380,8 @@ def matrix_from_json_dict(d) -> np.ndarray:
     n = d["n"]
     if not isinstance(n, int) or n < 1:
         raise DomainError("matrix JSON field 'n' must be a positive integer")
-    a = np.array(rows, dtype=float)
-    if a.ndim != 2 or a.shape != (n, n):
+    a = _checked_matrix(rows)
+    if a.shape[0] != n:
         raise DomainError(f"matrix JSON rows must form an {n}x{n} array")
     return a
 
@@ -356,6 +392,6 @@ def vector_to_json_dict(x) -> dict:
 
 
 def vector_from_json_dict(d) -> PositiveVector:
-    if not isinstance(d, dict) or set(d) != {"x"}:
+    if not isinstance(d, dict) or set(d) != {"x"} or not isinstance(d["x"], list):
         raise DomainError('vector JSON must be {"x": [real, ...]}')
     return PositiveVector(tuple(d["x"]))

@@ -37,12 +37,30 @@ def _load_json(text: str):
         try:
             with open(text[1:], "r", encoding="utf-8") as fh:
                 raw = fh.read()
-        except OSError as exc:
+        except (OSError, ValueError) as exc:
             raise _ParseError(f"cannot read {text[1:]!r}: {exc}") from exc
     try:
         return json.loads(raw)
     except json.JSONDecodeError as exc:
         raise _ParseError(f"invalid JSON {raw!r}: {exc}") from exc
+    except RecursionError:
+        raise _ParseError("JSON input is nested too deeply") from None
+
+
+def _numbers(data, what: str, integral: bool = False) -> list:
+    """``data`` as a nonempty list of floats, or of ints if ``integral``;
+    anything else is a parse error."""
+    if not (isinstance(data, list) and data and all(isinstance(v, (int, float)) for v in data)):
+        raise _ParseError(f"{what} must be a nonempty JSON list of numbers, got {data!r}")
+    try:
+        values = [float(v) for v in data]
+    except OverflowError:
+        raise _ParseError(f"{what} has an integer beyond the float range") from None
+    if not integral:
+        return values
+    if not all(v.is_integer() for v in values):
+        raise _ParseError(f"{what} must contain integers, got {data!r}")
+    return [int(v) for v in values]
 
 
 def _parse_vector(text: str) -> cell.PositiveVector:
@@ -50,7 +68,7 @@ def _parse_vector(text: str) -> cell.PositiveVector:
     if isinstance(data, dict):
         x = cell.vector_from_json_dict(data)
     elif isinstance(data, list):
-        x = cell.PositiveVector(tuple(data))
+        x = cell.PositiveVector(tuple(_numbers(data, "vector")))
     else:
         raise _ParseError(f"vector input must be a JSON list or {{\"x\": [...]}}, got {data!r}")
     if x.n > MAX_ORDER:
@@ -63,34 +81,15 @@ def _parse_matrix(text: str) -> np.ndarray:
     if isinstance(data, dict):
         a = cell.matrix_from_json_dict(data)
     elif isinstance(data, list):
-        a = np.array(data, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        rows = [_numbers(row, "matrix row") for row in data]
+        if not rows or any(len(row) != len(rows) for row in rows):
             raise _ParseError("matrix input must be a square array of rows")
+        a = np.array(rows)
     else:
         raise _ParseError(f"matrix input must be rows or {{\"n\": .., \"rows\": ..}}, got {data!r}")
     if a.shape[0] > MAX_ORDER:
         raise DomainError(f"order {a.shape[0]} exceeds the CLI limit of {MAX_ORDER}")
     return a
-
-
-def _parse_numbers(text: str, what: str) -> list[float]:
-    data = _load_json(text)
-    if not isinstance(data, list) or not data:
-        raise _ParseError(f"{what} must be a nonempty JSON list")
-    try:
-        return [float(v) for v in data]
-    except (TypeError, ValueError) as exc:
-        raise _ParseError(f"{what} must contain only numbers") from exc
-
-
-def _parse_ints(text: str, what: str) -> list[int]:
-    values = _parse_numbers(text, what)
-    out = []
-    for v in values:
-        if int(v) != v:
-            raise _ParseError(f"{what} must contain integers, got {v!r}")
-        out.append(int(v))
-    return out
 
 
 def _parse_perm(text: str, n: int) -> perm.Permutation:
@@ -120,7 +119,6 @@ def _cmd_construct(args):
 
 
 def _cmd_spectrum(args):
-    tol = args.tol if args.tol is not None else 1e-8
     if (args.vector is None) == (args.matrix is None):
         raise _ParseError("spectrum needs exactly one of --vector or --matrix")
     x = None
@@ -139,14 +137,14 @@ def _cmd_spectrum(args):
     reduced = None
     if x is not None:
         try:
-            reduced = reduction.spectrum_via_reduction(x, tol=tol)
+            reduced = reduction.spectrum_via_reduction(x, tol=args.tol)
         except DomainError:
             reduced = None
     if reduced is not None:
-        agree = oracle.matches(reduced, tol)
+        agree = oracle.matches(reduced, args.tol)
         payload["via_reduction"] = list(reduced.values)
         payload["agree"] = bool(agree)
-        summary.append(f"reduction route agrees within {tol}: {'yes' if agree else 'NO'}")
+        summary.append(f"reduction route agrees within {args.tol}: {'yes' if agree else 'NO'}")
     else:
         payload["via_reduction"] = None
         payload["agree"] = None
@@ -167,7 +165,7 @@ def _cmd_reduce(args):
 
 
 def _cmd_solve3(args):
-    values = _parse_numbers(args.spectrum, "--spectrum")
+    values = _numbers(_load_json(args.spectrum), "--spectrum")
     target = iep.CubicSpectrumTarget.from_multiset(values)
     solution = iep.solve_cubic_iep(target)
     payload = solution.to_json_dict()
@@ -179,8 +177,8 @@ def _cmd_solve3(args):
 
 
 def _solve_grouped_common(args, k_expected=None, want_uniform=False):
-    tails = _parse_numbers(args.tails, "--tails")
-    mults = _parse_ints(args.mult, "--mult")
+    tails = _numbers(_load_json(args.tails), "--tails")
+    mults = _numbers(_load_json(args.mult), "--mult", integral=True)
     if len(tails) != len(mults):
         raise _ParseError("--tails and --mult must have the same length")
     if k_expected is not None and len(tails) != k_expected:
@@ -217,10 +215,9 @@ def _cmd_solve_grouped(args):
 
 
 def _cmd_verify_perm(args):
-    tol = args.tol if args.tol is not None else 1e-8
     x = _parse_vector(args.vector)
     pi = _parse_perm(args.perm, x.n)
-    report = perm.spectrum_invariance_check(x, pi, tol=tol)
+    report = perm.spectrum_invariance_check(x, pi, tol=args.tol)
     payload = report.to_json_dict()
     summary = [
         f"permutation {pi.cycles_string()} on n = {x.n}: "
@@ -231,12 +228,11 @@ def _cmd_verify_perm(args):
 
 
 def _cmd_verify_membership(args):
-    tol = args.tol if args.tol is not None else 1e-8
-    values = _parse_numbers(args.spectrum, "--spectrum")
-    tails = _parse_numbers(args.tails, "--tails")
-    mults = _parse_ints(args.mult, "--mult")
+    values = _numbers(_load_json(args.spectrum), "--spectrum")
+    tails = _numbers(_load_json(args.tails), "--tails")
+    mults = _numbers(_load_json(args.mult), "--mult", integral=True)
     spec = iep.GroupedSpec(tuple(tails), tuple(mults))
-    report = iep.verify_membership(values, spec, tol=tol)
+    report = iep.verify_membership(values, spec, tol=args.tol)
     payload = report.to_json_dict()
     summary = [
         f"membership: {'accepted' if report.accepted else 'rejected'} ({report.detail})"
@@ -245,7 +241,6 @@ def _cmd_verify_membership(args):
 
 
 def _cmd_detcheck(args):
-    tol = args.tol if args.tol is not None else 1e-8
     x = _parse_vector(args.vector)
     a = cell.construct_cell_matrix(x).entries
     orders = []
@@ -253,14 +248,15 @@ def _cmd_detcheck(args):
     for i in range(1, x.n + 1):
         formula = cell.principal_subdeterminant(x, i)
         pivoted = cell.numeric_determinant(a[:i, :i])
-        deviation = abs(formula - pivoted) / max(1.0, abs(formula), abs(pivoted))
+        scale = max(abs(formula), abs(pivoted))
+        deviation = abs(formula / scale - pivoted / scale) if scale else 0.0
         worst = max(worst, deviation)
         orders.append(
             {
                 "order": i,
                 "formula": formula,
                 "pivoted": pivoted,
-                "agree": bool(deviation <= tol),
+                "agree": bool(deviation <= args.tol),
             }
         )
     ok = all(entry["agree"] for entry in orders)
@@ -303,8 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
                 required = not (name == "spectrum" and flag in ("--vector", "--matrix"))
                 p.add_argument(flag, required=required,
                                help="inline JSON, or @path to a JSON file")
-        p.add_argument("--tol", type=float, default=None,
-                       help="override the default comparison tolerance")
+        p.add_argument("--tol", type=float, default=1e-8,
+                       help="relative comparison tolerance (default 1e-8)")
         p.add_argument("--out", default=None, help="write the JSON result to this file")
         return p
 

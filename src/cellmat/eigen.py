@@ -21,12 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cell import PositiveVector, Spectrum, _coerce_vector
+from .cell import Spectrum, _checked_matrix
 from .errors import ConvergenceError, DomainError
 
 __all__ = [
     "Polynomial",
-    "PairSums",
     "eig_symmetric",
     "char_poly",
     "poly_roots",
@@ -74,32 +73,6 @@ class Polynomial:
         for c in reversed(self.coefficients):
             acc = acc * azs + abs(c)
         return acc
-
-
-@dataclass(frozen=True)
-class PairSums:
-    """The three pairwise sums of a length-3 generating vector.
-
-    For ``a = (a1, a2, a3)``: ``alpha = a1+a2``, ``beta = a1+a3``,
-    ``gamma = a2+a3``.  The characteristic polynomial of the 3x3 cell matrix
-    is ``x^3 - (alpha^2 + beta^2 + gamma^2) x - 2 alpha beta gamma``.
-    """
-
-    alpha: float
-    beta: float
-    gamma: float
-
-    @classmethod
-    def from_vector(cls, x: PositiveVector) -> "PairSums":
-        x = _coerce_vector(x)
-        if x.n != 3:
-            raise DomainError(f"pair sums need a length-3 vector, got length {x.n}")
-        a1, a2, a3 = x.entries
-        return cls(alpha=a1 + a2, beta=a1 + a3, gamma=a2 + a3)
-
-    def char_poly(self) -> Polynomial:
-        a, b, g = self.alpha, self.beta, self.gamma
-        return Polynomial((-2.0 * a * b * g, -(a * a + b * b + g * g), 0.0, 1.0))
 
 
 def _off_norm(a: np.ndarray) -> float:
@@ -150,16 +123,9 @@ def eig_symmetric(m, tol: float = 1e-12, max_sweeps: int = 50) -> Spectrum:
     ``ConvergenceError`` after ``max_sweeps`` sweeps, and cross-checks the
     eigenvalue sum against the trace (1e-10 relative) before returning.
     """
-    a = np.array(m, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DomainError("matrix is not square")
-    if not np.isfinite(a).all():
-        raise DomainError("matrix has a non-finite entry")
+    a = _checked_matrix(m, symmetric=True)
     exponent = math.frexp(float(np.abs(a).max(initial=0.0)))[1]
     a = np.ldexp(a, -exponent)
-    # relative to max|M|, which the scaling put in [1/2, 1)
-    if float(np.abs(a - a.T).max(initial=0.0)) > 1e-12:
-        raise DomainError("matrix is not symmetric")
     trace = float(np.trace(a))
     fro = float(np.sqrt((a * a).sum()))
     if a.shape[0] > 1 and fro > 0.0:
@@ -245,9 +211,7 @@ def char_poly(m) -> Polynomial:
     rapidly beyond small orders, and every intended caller hands it a small
     core matrix.
     """
-    a = np.array(m, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DomainError("matrix is not square")
+    a = _checked_matrix(m)
     n = a.shape[0]
     if n > CHAR_POLY_MAX_ORDER:
         raise DomainError(f"order {n} exceeds the characteristic-polynomial guard "
@@ -256,9 +220,11 @@ def char_poly(m) -> Polynomial:
     c = [0.0] * (n + 1)
     mk = a.copy()
     c[1] = -float(np.trace(mk))
-    for k in range(2, n + 1):
-        mk = a @ (mk + c[k - 1] * np.eye(n))
-        c[k] = -float(np.trace(mk)) / k
+    # a coefficient that overflows is caught as non-finite by Polynomial
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(2, n + 1):
+            mk = a @ (mk + c[k - 1] * np.eye(n))
+            c[k] = -float(np.trace(mk)) / k
     ascending = [c[n - d] for d in range(n)] + [1.0]
     return Polynomial(tuple(ascending))
 

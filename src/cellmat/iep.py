@@ -348,10 +348,11 @@ def verify_membership(s, g: GroupedSpec, tol: float = 1e-8) -> MembershipReport:
 
     Returns a structured report rather than raising: ``accepted`` is the
     multiset comparison against :func:`solve_grouped`'s spectrum within
-    ``tol`` (relative, floored at 1), and the two condition flags localize a
-    failure to the sign pattern or to the head/tail structure.
+    ``tol * max|value|`` over both spectra, and the two condition flags
+    localize a failure to the sign pattern or to the head/tail structure.
+    Raises ``DomainError`` when ``s`` has a non-finite value.
     """
-    values = tuple(s.values) if isinstance(s, Spectrum) else tuple(float(v) for v in s)
+    values = Spectrum(tuple(s)).values
     solution = solve_grouped(g)
     expected = solution.full_spectrum
 
@@ -365,7 +366,7 @@ def verify_membership(s, g: GroupedSpec, tol: float = 1e-8) -> MembershipReport:
             f"values among {len(values)}"
         )
 
-    scale = max([1.0] + [abs(v) for v in values] + [abs(v) for v in expected.values])
+    scale = max([abs(v) for v in values] + [abs(v) for v in expected.values])
     tol_abs = tol * scale
     pool = list(values)
     condition2 = len(values) == g.n

@@ -12,6 +12,7 @@ row indices), matching the usual cycle notation; they are converted to
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 
@@ -54,7 +55,11 @@ class Permutation:
 
     @classmethod
     def from_one_based(cls, images) -> "Permutation":
-        return cls(tuple(int(v) - 1 for v in images))
+        """The permutation mapping ``i`` to ``images[i-1]``, both 1-based."""
+        try:
+            return cls(tuple(operator.index(v) - 1 for v in images))
+        except TypeError:
+            raise DomainError(f"permutation images must be integers, got {images!r}") from None
 
     @classmethod
     def transposition(cls, n: int, a: int, b: int) -> "Permutation":
@@ -74,6 +79,8 @@ class Permutation:
         Elements omitted from every cycle are fixed points; ``""`` and
         ``"()"`` both denote the identity.
         """
+        if not isinstance(text, str):
+            raise DomainError(f"cycle notation must be a string, got {text!r}")
         stripped = text.strip()
         leftovers = _CYCLE_RE.sub("", stripped).strip()
         if leftovers:
@@ -81,7 +88,10 @@ class Permutation:
         mapping = list(range(n))
         seen: set[int] = set()
         for body in _CYCLE_RE.findall(stripped):
-            elements = [int(tok) for tok in body.replace(",", " ").split()]
+            try:
+                elements = [int(tok) for tok in body.replace(",", " ").split()]
+            except ValueError:
+                raise DomainError(f"cycle ({body}) must list integers") from None
             if not elements:
                 continue
             for e in elements:

@@ -19,9 +19,10 @@ import numpy as np
 from .cell import (
     GroupedVector,
     Spectrum,
+    _checked_matrix,
     _coerce_vector,
+    _grouping,
     construct_cell_matrix,
-    group_vector,
 )
 from .eigen import eig_small_general
 from .errors import DomainError
@@ -98,9 +99,7 @@ def _apply_inplace(a: np.ndarray, op: ElementaryOp) -> None:
 
 def apply_similarity(m, op: ElementaryOp) -> np.ndarray:
     """Return ``E M E^-1`` for the elementary matrix of ``op``."""
-    a = np.array(m, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DomainError("matrix is not square")
+    a = _checked_matrix(m)
     _apply_inplace(a, op)
     return a
 
@@ -149,9 +148,7 @@ class ReductionResult:
     sort_permutation: tuple[int, ...] = field(default=())
 
     def __post_init__(self):
-        core = np.array(self.core, dtype=float)
-        if core.ndim != 2 or core.shape[0] != core.shape[1]:
-            raise DomainError("reduction core must be square")
+        core = _checked_matrix(self.core)
         blocks = tuple((float(v), int(c)) for v, c in self.known_blocks)
         core.setflags(write=False)
         object.__setattr__(self, "core", core)
@@ -205,7 +202,8 @@ def _sort_swaps(group_ids: list[int]) -> tuple[list[ElementaryOp], list[int]]:
 def reduce_grouped(x, tol: float = 1e-12) -> ReductionResult:
     """Reduce a grouped cell matrix to core-plus-diagonal triangular form.
 
-    The vector is first sorted into contiguous groups (spectrum-preserving by
+    The groups are those of :func:`group_vector` with the same ``tol``.  The
+    vector is first sorted into contiguous groups (spectrum-preserving by
     permutation similarity; the swaps are part of the recorded trace).  Then,
     processing groups last-to-first, each group's trailing rows are
     eliminated against its first row with factor -1 row sums, and the
@@ -215,15 +213,9 @@ def reduce_grouped(x, tol: float = 1e-12) -> ReductionResult:
     ``multiplicity - 1`` times.
     """
     x = _coerce_vector(x)
-    g = group_vector(x, tol)
+    g, group_ids = _grouping(x, tol)
     k = g.k
     mults = g.multiplicities
-
-    rep_index = {v: i for i, v in enumerate(g.distinct_values)}
-    group_ids = []
-    for value in x:
-        gid = next(i for v, i in rep_index.items() if abs(value - v) <= tol)
-        group_ids.append(gid)
 
     a = construct_cell_matrix(x).as_array()
     ops, sort_perm = _sort_swaps(group_ids)

@@ -266,3 +266,88 @@ def test_vector_json_round_trip():
     assert cm.vector_from_json_dict(cm.vector_to_json_dict(x)).entries == x.entries
     with pytest.raises(DomainError):
         cm.vector_from_json_dict({"y": [1.0]})
+
+
+# --- one matrix check, tolerances relative to the data ----------------------
+
+_MATRIX_CALLERS = {
+    "recognize_cell": cm.recognize_cell,
+    "numeric_determinant": cm.numeric_determinant,
+    "matrix_to_json_dict": cm.matrix_to_json_dict,
+    "eig_symmetric": cm.eig_symmetric,
+    "char_poly": cm.char_poly,
+    "CellMatrix": lambda m: cm.CellMatrix(order=len(m), entries=m),
+    "matrix_from_json_dict": lambda m: cm.matrix_from_json_dict({"n": len(m), "rows": m}),
+    "apply_similarity": lambda m: cm.apply_similarity(m, cm.ElementaryOp("swap", 0, 1)),
+    "ReductionResult": lambda m: cm.ReductionResult(core=m, known_blocks=(), ops_applied=()),
+}
+
+
+@pytest.mark.parametrize("caller", _MATRIX_CALLERS.values(), ids=_MATRIX_CALLERS.keys())
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ([[0.0, math.inf], [math.inf, 0.0]], "non-finite"),
+        ([[0.0, math.nan], [math.nan, 0.0]], "non-finite"),
+        ([[0.0, 1.0], [1.0]], "real numbers"),
+        ([[0.0, "a"], ["a", 0.0]], "real numbers"),
+    ],
+)
+def test_every_matrix_caller_rejects_bad_entries(caller, bad, message):
+    with pytest.raises(DomainError, match=message):
+        caller(bad)
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300])
+def test_structure_checks_are_relative(scale):
+    asymmetric = [[0.0, scale], [(1.0 + 1e-11) * scale, 0.0]]
+    diagonal = [[1e-11 * scale, scale], [scale, 0.0]]
+    with pytest.raises(DomainError, match="symmetric"):
+        cm.recognize_cell(asymmetric)
+    with pytest.raises(DomainError, match="diagonal"):
+        cm.recognize_cell(diagonal)
+    with pytest.raises(DomainError, match="symmetric"):
+        cm.CellMatrix(order=2, entries=asymmetric)
+    assert cm.recognize_cell([[0.0, scale], [(1.0 + 1e-13) * scale, 1e-13 * scale]]).n == 2
+
+
+def test_construct_rejects_overflowing_sums():
+    with pytest.raises(DomainError, match="non-finite"):
+        cm.construct_cell_matrix([1e308, 1e308])
+
+
+def test_recognize_residual_is_relative():
+    inconsistent = np.array([[0, 3, 4, 5], [3, 0, 5, 6], [4, 5, 0, 9], [5, 6, 9, 0]], float)
+    with pytest.raises(DomainError, match="inconsistent"):
+        cm.recognize_cell(1e-20 * inconsistent)
+    x = (1e-200, 2e-200, 3e-200, 4e-200)
+    back = cm.recognize_cell(cm.construct_cell_matrix(x).entries)
+    assert np.allclose(back.entries, x, rtol=1e-12, atol=0.0)
+    with pytest.raises(DomainError, match="inconsistent"):
+        cm.recognize_cell([[0, 1.6e308, 1.6e308], [1.6e308, 0, -1.6e308], [1.6e308, -1.6e308, 0]])
+
+
+def test_multisets_close_is_relative():
+    assert not cm.multisets_close([1e-13], [1.2e-13], 1e-8)
+    assert cm.multisets_close([1e-300, -2e-300], [-2e-300, 1e-300 * (1 + 1e-9)], 1e-8)
+    assert not cm.multisets_close([1.0, math.inf], [2.0, math.inf], 1e-8)
+
+
+def test_group_vector_radius_is_relative():
+    with pytest.raises(DomainError, match="once"):
+        cm.group_vector([1e-13, 2e-13, 3e-13, 4e-13])
+    g = cm.group_vector([1e-200, 1e-200 * (1 + 5e-13), 1e-200, 3e-200, 3e-200])
+    assert g.multiplicities == (3, 2)
+
+
+@pytest.mark.parametrize("value", [1e200, 1e-200])
+def test_principal_subdeterminant_rejects_unrepresentable(value):
+    assert cm.principal_subdeterminant([value] * 3, 1) == 0.0
+    with pytest.raises(DomainError, match="finite and nonzero"):
+        cm.principal_subdeterminant([value] * 3, 2)
+
+
+def test_vector_json_rejects_non_numbers():
+    for bad in ({"x": ["a"]}, {"x": [[1.0]]}, {"x": 5}, {"x": [10**400]}):
+        with pytest.raises(DomainError):
+            cm.vector_from_json_dict(bad)

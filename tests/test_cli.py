@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cellmat as cm
 from cellmat.cli import main
@@ -253,3 +257,137 @@ def test_unknown_command(capsys):
 
 def test_missing_required_flag(capsys):
     assert run_cli(capsys, "construct")[0] == 2
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["construct", "--vector", '["a"]'], 2),
+        (["construct", "--vector", "[[1,2]]"], 2),
+        (["construct", "--vector", '{"x": ["a"]}'], 3),
+        (["reduce", "--vector", '[1,1,"a"]'], 2),
+        (["spectrum", "--matrix", '[[0,"a"],[1,0]]'], 2),
+        (["spectrum", "--matrix", "[[0,1],[1]]"], 2),
+        (["spectrum", "--matrix", '{"n": 2, "rows": [[0,1],[1]]}'], 3),
+        (["solve-grouped", "--tails", "[-1]", "--mult", "[1e400]"], 2),
+        (["verify-perm", "--vector", "[1,2,3]", "--perm", '["a",2,3]'], 3),
+        (["verify-perm", "--vector", "[1,2,3]", "--perm", '"(1 a)"'], 3),
+        (["verify-perm", "--vector", "[1,2,3]", "--perm", '{"cycles": 5}'], 3),
+        (["construct", "--vector", "[1e308,1e308]"], 3),
+        (["spectrum", "--matrix", "[[0, Infinity], [Infinity, 0]]"], 3),
+        (["detcheck", "--vector", "[1e200,1e200,1e200]"], 3),
+        (["detcheck", "--vector", "[1e-200,1e-200,1e-200]"], 3),
+        (["verify-membership", "--spectrum", "[Infinity,-2,-2]", "--tails", "[-2]",
+          "--mult", "[3]"], 3),
+        (["construct", "--vector", "[" * 100000 + "]" * 100000], 2),
+    ],
+)
+def test_bad_input_exit_code(capsys, argv, code):
+    got, out, _ = run_cli(capsys, *argv)
+    assert got == code
+    assert json.loads(out)["error"]["kind"] == {2: "parse", 3: "domain"}[code]
+
+
+def test_unreadable_input_file_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b"[\xff]")
+    for argument in (f"@{path}", "@\x00"):
+        code, out, _ = run_cli(capsys, "construct", "--vector", argument)
+        assert code == 2
+        assert json.loads(out)["error"]["kind"] == "parse"
+
+
+@pytest.mark.parametrize("vector", ["[1e-13,2e-13,3e-13,4e-13]", "[1e-300,2e-300,3e-300]"])
+def test_spectrum_tiny_distinct_values_are_not_grouped(capsys, vector):
+    payload, _ = run_json(capsys, "spectrum", "--vector", vector)
+    assert payload["via_reduction"] is None
+    assert payload["agree"] is None
+
+
+def _main_quietly(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+_FLAGS = {
+    "construct": ("--vector",),
+    "spectrum": ("--vector", "--matrix"),
+    "reduce": ("--vector",),
+    "solve3": ("--spectrum",),
+    "solve-uniform": ("--tails", "--mult"),
+    "solve-2group": ("--tails", "--mult"),
+    "solve-grouped": ("--tails", "--mult"),
+    "verify-perm": ("--vector", "--perm"),
+    "verify-membership": ("--spectrum", "--tails", "--mult"),
+    "detcheck": ("--vector",),
+}
+_numbers = st.one_of(
+    st.floats(),  # every magnitude up to 1e+-308, subnormals, inf and nan
+    st.integers(-5, 12),
+    st.integers(-(10**400), 10**400),
+    st.sampled_from([1e308, -1e308, 1e154, 1e-154, 5e-324, 0.5, 2.0]),
+)
+_json = st.recursive(
+    st.one_of(_numbers, st.text(max_size=4), st.booleans(), st.none()),
+    lambda inner: st.lists(inner, max_size=5)
+    | st.dictionaries(st.sampled_from(["x", "n", "rows", "mapping", "cycles", ""]), inner,
+                      max_size=3),
+    max_leaves=16,
+)
+# repeated values reach the reduction route, integer lists the solvers and
+# permutations
+_repeated = st.lists(_numbers, min_size=1, max_size=3).flatmap(
+    lambda values: st.lists(st.sampled_from(values), min_size=2, max_size=9)
+)
+_argument = st.one_of(
+    _json.map(json.dumps),
+    _repeated.map(json.dumps),
+    _repeated.map(lambda v: json.dumps({"x": v})),
+    st.lists(st.lists(_numbers, min_size=1, max_size=4), min_size=1, max_size=4).map(json.dumps),
+    st.lists(st.integers(1, 5), min_size=1, max_size=5).map(
+        lambda v: json.dumps("(" + " ".join(map(str, v)) + ")")
+    ),
+    st.text(max_size=6),
+)
+
+
+@settings(max_examples=75, deadline=None)
+@given(command=st.sampled_from(sorted(_FLAGS)), data=st.data(),
+       tol=st.none() | st.floats().map(repr))
+def test_cli_fuzz_never_raises(command, data, tol):
+    argv = [command]
+    for flag in _FLAGS[command]:
+        if command != "spectrum" or data.draw(st.booleans()):
+            argv.append(f"{flag}={data.draw(_argument)}")
+    if tol is not None:
+        argv.append(f"--tol={tol}")
+    code, out = _main_quietly(argv)
+    assert code in (0, 2, 3, 4)
+    if out:
+        assert ("error" in json.loads(out)) == (code != 0)
+
+
+_values = st.floats(0.1, 10.0)
+_grouped = st.lists(st.tuples(_values, st.integers(2, 4)), min_size=1, max_size=6).flatmap(
+    lambda groups: st.permutations([v for v, m in groups for _ in range(m)][:12])
+).filter(lambda x: all(x.count(v) >= 2 for v in x))
+
+
+@settings(max_examples=30, deadline=None)
+@given(x=st.lists(_values, min_size=2, max_size=12) | _grouped, exponent=st.floats(-150.0, 150.0))
+def test_spectrum_scales_with_the_vector(x, exponent):
+    s = 10.0**exponent
+    xs = [s * v for v in x]
+    m = cm.construct_cell_matrix(xs).entries
+    scaled = np.array(cm.eig_symmetric(m).values)
+    assert (scaled > 0.0).sum() == 1
+    base = np.array(cm.eig_symmetric(cm.construct_cell_matrix(x).entries).values)
+    assert np.abs(scaled - s * base).max() <= 1e-12 * np.abs(scaled).max()
+    code, out = _main_quietly(["spectrum", f"--vector={json.dumps(xs)}", "--tol=1e-8"])
+    assert code in (0, 4)
+    if code == 0 and json.loads(out)["agree"]:
+        via_reduction = np.sort(json.loads(out)["via_reduction"])
+        lapack = np.linalg.eigvalsh(m)
+        assert np.abs(via_reduction - lapack).max() <= 1e-8 * np.abs(lapack).max()

@@ -171,26 +171,6 @@ def test_char_poly_vanishes_at_eigenvalues():
             assert abs(p(v)) <= 1e-6 * max(1.0, scale)
 
 
-def test_pair_sums():
-    ps = cm.PairSums.from_vector(cm.PositiveVector((math.sqrt(3.0) - 0.5, 0.5, 0.5)))
-    assert ps.alpha == pytest.approx(math.sqrt(3.0), abs=1e-15)
-    assert ps.beta == pytest.approx(math.sqrt(3.0), abs=1e-15)
-    assert ps.gamma == 1.0
-    p = ps.char_poly()
-    assert np.allclose(p.coefficients, (-6.0, -7.0, 0.0, 1.0), atol=1e-12)
-    with pytest.raises(DomainError):
-        cm.PairSums.from_vector(cm.PositiveVector((1.0, 2.0)))
-
-
-def test_pair_sums_polynomial_matches_direct():
-    rng = np.random.default_rng(14)
-    for _ in range(10):
-        x = cm.PositiveVector(tuple(rng.uniform(0.1, 10.0, size=3)))
-        via_sums = cm.PairSums.from_vector(x).char_poly().coefficients
-        direct = cm.char_poly(cm.construct_cell_matrix(x).entries).coefficients
-        assert np.allclose(via_sums, direct, rtol=1e-10, atol=1e-10)
-
-
 # --- polynomial roots ---------------------------------------------------------
 
 

@@ -289,3 +289,12 @@ def test_head_dominance_diagnostic_holds():
         solution = cm.solve_grouped(random_grouped_spec(rng, n_max=40))
         head = sorted(solution.head_values, reverse=True)
         assert head[0] > sum(abs(v) for v in head[1:])
+
+
+def test_membership_tolerance_is_relative():
+    spec = GroupedSpec((-2e-6,), (3,))
+    assert cm.verify_membership([4e-6, -2e-6, -2e-6], spec).accepted
+    # 1e-9 is within 1e-8 absolute, but 250 times the relative radius here
+    assert not cm.verify_membership([4e-6 + 1e-9, -2e-6, -2e-6 - 1e-9], spec).accepted
+    with pytest.raises(DomainError, match="finite"):
+        cm.verify_membership([math.inf, -2e-6, -2e-6], spec)

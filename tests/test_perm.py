@@ -178,3 +178,13 @@ def test_invariance_report_json():
     assert d["ok"] is True
     assert d["transpositions"] == [[1, 2]]
     assert d["spectrum_original"] == d["spectrum_permuted"]
+
+
+def test_parsers_raise_domain_error():
+    for images in (["a", 2, 3], [1.5, 2, 3], [None], 5):
+        with pytest.raises(DomainError, match="integers"):
+            Permutation.from_one_based(images)
+    with pytest.raises(DomainError, match="integers"):
+        Permutation.from_cycles("(1 a)", 3)
+    with pytest.raises(DomainError, match="string"):
+        Permutation.from_json_dict({"cycles": 5}, 3)

@@ -223,3 +223,10 @@ def test_reduction_route_matches_jacobi():
         via_reduction = cm.spectrum_via_reduction(x)
         via_jacobi = cm.eig_symmetric(cm.construct_cell_matrix(x).entries)
         assert via_jacobi.matches(via_reduction, tol=1e-8)
+
+
+def test_reduce_grouping_is_relative():
+    x = [2e-13, 1e-13, 2e-13, 1e-13]
+    result = cm.reduce_grouped(x)
+    assert result.known_blocks == ((-4e-13, 1), (-2e-13, 1))
+    assert result.sort_permutation == (0, 2, 1, 3)
