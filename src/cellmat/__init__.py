@@ -6,10 +6,9 @@ A cell matrix is the symmetric hollow matrix with off-diagonal entries
 provides:
 
 - construction, recognition, and determinant identities (:mod:`cellmat.cell`),
-- a Jacobi eigensolver plus characteristic-polynomial machinery
-  (:mod:`cellmat.eigen`),
-- the elementary-similarity reduction of grouped vectors to a small core
-  (:mod:`cellmat.reduction`),
+- a Jacobi eigensolver, the independent oracle (:mod:`cellmat.eigen`),
+- the elementary-similarity reduction of grouped vectors to a small core,
+  rooted as a symmetric matrix by LAPACK (:mod:`cellmat.reduction`),
 - inverse eigenvalue solvers and family membership checks (:mod:`cellmat.iep`),
 - permutation actions and spectrum-invariance verification
   (:mod:`cellmat.perm`),
@@ -32,13 +31,7 @@ from .cell import (
     vector_from_json_dict,
     vector_to_json_dict,
 )
-from .eigen import (
-    Polynomial,
-    char_poly,
-    eig_small_general,
-    eig_symmetric,
-    poly_roots,
-)
+from .eigen import eig_symmetric
 from .errors import CellMatrixError, ConvergenceError, DomainError
 from .iep import (
     CubicSpectrumTarget,
@@ -82,15 +75,12 @@ __all__ = [
     "MembershipReport",
     "Permutation",
     "PermInvarianceReport",
-    "Polynomial",
     "PositiveVector",
     "ReductionResult",
     "Spectrum",
     "apply_similarity",
     "build_dk",
-    "char_poly",
     "construct_cell_matrix",
-    "eig_small_general",
     "eig_symmetric",
     "group_vector",
     "matrix_from_json_dict",
@@ -98,7 +88,6 @@ __all__ = [
     "multisets_close",
     "numeric_determinant",
     "permute_vector",
-    "poly_roots",
     "principal_subdeterminant",
     "recognize_cell",
     "reduce_grouped",

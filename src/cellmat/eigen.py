@@ -1,11 +1,8 @@
-"""Independent spectral oracles.
+"""Independent spectral oracle: a Jacobi eigensolver for symmetric matrices.
 
-Three routes that never share code with the structural reduction: a Jacobi
-eigensolver for symmetric matrices, the Faddeev-LeVerrier trace recursion for
-characteristic polynomials, and Durand-Kerner simultaneous iteration for the
-roots of small monic polynomials.  The last two compose into
-``eig_small_general``, the solver used on the nonsymmetric core that the
-grouped reduction produces.
+It never shares code with the structural reduction, so it can cross-check
+the reduction route, which roots the grouped core with LAPACK (see
+:mod:`cellmat.reduction`).
 
 The Jacobi solver scales its input by a power of two, so that no norm
 overflows or underflows at any finite magnitude.  It visits the pairs in
@@ -15,64 +12,14 @@ n/2 disjoint pairs in one vectorized step.
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .cell import Spectrum, _checked_matrix
 from .errors import ConvergenceError, DomainError
 
-__all__ = [
-    "Polynomial",
-    "eig_symmetric",
-    "char_poly",
-    "poly_roots",
-    "eig_small_general",
-]
-
-CHAR_POLY_MAX_ORDER = 32
-
-
-@dataclass(frozen=True)
-class Polynomial:
-    """Real-coefficient polynomial, coefficients in ascending degree order."""
-
-    coefficients: tuple[float, ...]
-
-    def __post_init__(self):
-        coeffs = tuple(float(c) for c in self.coefficients)
-        if not coeffs:
-            raise DomainError("polynomial needs at least one coefficient")
-        if not all(math.isfinite(c) for c in coeffs):
-            raise DomainError("polynomial coefficients must be finite")
-        if len(coeffs) > 1 and coeffs[-1] == 0.0:
-            raise DomainError("leading coefficient must be nonzero")
-        object.__setattr__(self, "coefficients", coeffs)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
-    @property
-    def is_monic(self) -> bool:
-        return self.coefficients[-1] == 1.0
-
-    def __call__(self, z):
-        """Horner evaluation at a real or complex point."""
-        acc = 0.0 + 0.0j if isinstance(z, complex) else 0.0
-        for c in reversed(self.coefficients):
-            acc = acc * z + c
-        return acc
-
-    def evaluation_scale(self, z) -> float:
-        """Sum of |c_i| |z|^i, a magnitude bound for rounding in __call__."""
-        azs = abs(z)
-        acc = 0.0
-        for c in reversed(self.coefficients):
-            acc = acc * azs + abs(c)
-        return acc
+__all__ = ["eig_symmetric"]
 
 
 def _off_norm(a: np.ndarray) -> float:
@@ -201,114 +148,3 @@ def _round_robin_jacobi(a: np.ndarray, goal: float, max_sweeps: int) -> np.ndarr
     # a sweep of size - 1 rounds brings every index back to its place, so
     # the padding index is last
     return np.diag(a)[:n]
-
-
-def char_poly(m) -> Polynomial:
-    """Monic characteristic polynomial ``det(xI - M)`` by the
-    Faddeev-LeVerrier trace recursion.
-
-    Guarded to order <= 32: the recursion's coefficients lose accuracy
-    rapidly beyond small orders, and every intended caller hands it a small
-    core matrix.
-    """
-    a = _checked_matrix(m)
-    n = a.shape[0]
-    if n > CHAR_POLY_MAX_ORDER:
-        raise DomainError(f"order {n} exceeds the characteristic-polynomial guard "
-                          f"({CHAR_POLY_MAX_ORDER})")
-    # p(x) = x^n + c[1] x^(n-1) + ... + c[n]
-    c = [0.0] * (n + 1)
-    mk = a.copy()
-    c[1] = -float(np.trace(mk))
-    # a coefficient that overflows is caught as non-finite by Polynomial
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(2, n + 1):
-            mk = a @ (mk + c[k - 1] * np.eye(n))
-            c[k] = -float(np.trace(mk)) / k
-    ascending = [c[n - d] for d in range(n)] + [1.0]
-    return Polynomial(tuple(ascending))
-
-
-def _quadratic_roots(b: float, c: float) -> tuple[complex, complex]:
-    """Roots of x^2 + bx + c, computed stably."""
-    disc = b * b - 4.0 * c
-    if disc >= 0.0:
-        s = math.sqrt(disc)
-        q = -0.5 * (b + math.copysign(s, b)) if b != 0.0 else 0.5 * s
-        if q == 0.0:
-            return (0.0 + 0.0j, 0.0 + 0.0j)
-        return (complex(q), complex(c / q))
-    s = math.sqrt(-disc)
-    return (complex(-b / 2.0, s / 2.0), complex(-b / 2.0, -s / 2.0))
-
-
-def poly_roots(p: Polynomial, tol: float = 1e-10, max_iter: int = 500) -> tuple[complex, ...]:
-    """All complex roots of a monic polynomial.
-
-    Degrees 1 and 2 use closed forms.  Higher degrees run Durand-Kerner
-    simultaneous iteration from a circle of radius ``1 + max|coefficient|``
-    (the Cauchy bound) with start angles offset by 0.4 rad to avoid symmetric
-    stagnation.  Iterates are polished until every residual satisfies
-    ``|p(r)| <= tol * scale(r)`` where ``scale`` bounds Horner rounding;
-    raises ``ConvergenceError`` after ``max_iter`` iterations.  Roots are
-    returned sorted by (real, imaginary) part.
-    """
-    if not isinstance(p, Polynomial):
-        p = Polynomial(tuple(p))
-    if p.degree < 1:
-        raise DomainError("root finding needs degree >= 1")
-    if not p.is_monic:
-        raise DomainError("root finding expects a monic polynomial")
-    deg = p.degree
-    if deg == 1:
-        roots = [complex(-p.coefficients[0])]
-    elif deg == 2:
-        roots = list(_quadratic_roots(p.coefficients[1], p.coefficients[0]))
-    else:
-        radius = 1.0 + max(abs(c) for c in p.coefficients[:-1])
-        z = [radius * cmath.exp(1j * (2.0 * math.pi * j / deg + 0.4)) for j in range(deg)]
-        converged = False
-        polish = 0
-        for _ in range(max_iter):
-            new_z = []
-            for j in range(deg):
-                denom = 1.0 + 0.0j
-                for k in range(deg):
-                    if k != j:
-                        denom *= z[j] - z[k]
-                if denom == 0:
-                    denom = complex(1e-300)
-                new_z.append(z[j] - p(z[j]) / denom)
-            z = new_z
-            if converged:
-                # two more sweeps after the residual gate: simple roots
-                # converge quadratically, so this lands at limiting accuracy
-                polish += 1
-                if polish >= 2:
-                    break
-            else:
-                converged = all(
-                    abs(p(r)) <= tol * max(1.0, p.evaluation_scale(r)) for r in z
-                )
-        if not converged:
-            raise ConvergenceError(
-                f"Durand-Kerner did not converge within {max_iter} iterations"
-            )
-        roots = z
-    return tuple(sorted(roots, key=lambda r: (r.real, r.imag)))
-
-
-def eig_small_general(m, tol: float = 1e-8) -> Spectrum:
-    """Real spectrum of a small general matrix via its characteristic polynomial.
-
-    Composes :func:`char_poly` and :func:`poly_roots`, then rejects the input
-    if any root carries an imaginary part above ``tol * max(1, |root|)``.
-    """
-    roots = poly_roots(char_poly(m))
-    for r in roots:
-        if abs(r.imag) > tol * max(1.0, abs(r)):
-            raise DomainError(
-                f"matrix has a genuinely complex eigenvalue {r!r}; "
-                "no real spectrum exists within tolerance"
-            )
-    return Spectrum(tuple(r.real for r in roots))

@@ -4,8 +4,8 @@ Each solver turns a target spectrum into a generating vector whose cell
 matrix realizes it: the zero-sum 3x3 family (closed form), the uniform
 family (single repeated value), the two-group family (explicit radicals),
 and the general grouped family, where the free head eigenvalues are the
-roots of the closed-form core.  ``verify_membership`` checks an externally
-supplied spectrum against the grouped family.
+eigenvalues of the closed-form core.  ``verify_membership`` checks an
+externally supplied spectrum against the grouped family.
 """
 
 from __future__ import annotations
@@ -21,9 +21,9 @@ from .cell import (
     construct_cell_matrix,
     multisets_close,
 )
-from .eigen import eig_small_general, eig_symmetric
+from .eigen import eig_symmetric
 from .errors import CellMatrixError, DomainError
-from .reduction import build_dk
+from .reduction import _core_spectrum, build_dk
 
 __all__ = [
     "CubicSpectrumTarget",
@@ -37,7 +37,8 @@ __all__ = [
     "verify_membership",
 ]
 
-# Head eigenvalues closer to zero than this cannot be sign-classified.
+# Head eigenvalues closer to zero than this times max|head| cannot be
+# sign-classified.
 SIGN_DEAD_ZONE = 1e-10
 
 
@@ -47,7 +48,8 @@ class CubicSpectrumTarget:
 
     Ordered so that ``lambda1 >= 0 > lambda3 >= lambda2``: the third value is
     the negative eigenvalue of smallest magnitude.  The three values must sum
-    to zero within 1e-12 absolute (the matrix is hollow, so its trace is 0).
+    to zero within ``1e-12 * max|lambda|`` (the matrix is hollow, so its
+    trace is 0).
     """
 
     lambda1: float
@@ -64,9 +66,11 @@ class CubicSpectrumTarget:
                 f"cubic target must satisfy lambda1 >= 0 > lambda3 >= lambda2, "
                 f"got ({l1}, {l2}, {l3})"
             )
-        if abs(l1 + l2 + l3) > 1e-12:
+        # l2 <= l3 < 0 <= l1, so max|lambda| is max(l1, -l2)
+        if abs(l1 + l2 + l3) > 1e-12 * max(l1, -l2):
             raise DomainError(
-                f"cubic target must sum to zero within 1e-12, got sum {l1 + l2 + l3!r}"
+                f"cubic target must sum to zero within 1e-12 * max|lambda|, "
+                f"got sum {l1 + l2 + l3!r}"
             )
         object.__setattr__(self, "lambda1", l1)
         object.__setattr__(self, "lambda2", l2)
@@ -166,7 +170,9 @@ def _verify_reconstruction(x: PositiveVector, target_values, rtol: float) -> Non
 def solve_cubic_iep(t: CubicSpectrumTarget) -> IEPSolution:
     """Solve the 3x3 inverse problem for a zero-sum target spectrum.
 
-    Returns ``x = (sqrt(|l1*l2|/2) - |l3|/2, |l3|/2, |l3|/2)``.  The last two
+    Returns ``x = (sqrt(|l1*l2|/2) - |l3|/2, |l3|/2, |l3|/2)``.  The product
+    is formed after scaling both factors by the power of two below ``|l2|``,
+    which is exact, so it neither overflows nor underflows.  The last two
     entries are constructed identical, so the two larger pairwise sums of the
     vector coincide.  ``lambda1 = 0`` is rejected: it forces the zero matrix,
     which no positive vector generates.  The constructed matrix is verified
@@ -178,7 +184,10 @@ def solve_cubic_iep(t: CubicSpectrumTarget) -> IEPSolution:
         raise DomainError("lambda1 must be strictly positive; the zero spectrum "
                           "is not realizable by a positive vector")
     half3 = abs(t.lambda3) / 2.0
-    first = math.sqrt(abs(t.lambda1 * t.lambda2) / 2.0) - half3
+    # l1 <= 2|l2| for a zero-sum target, so both scaled factors are below 2
+    e = math.frexp(t.lambda2)[1]
+    a, b = math.ldexp(t.lambda1, -e), math.ldexp(-t.lambda2, -e)
+    first = math.ldexp(math.sqrt(a * b / 2.0), e) - half3
     x = PositiveVector((first, half3, half3))
     target = (t.lambda1, t.lambda2, t.lambda3)
     _verify_reconstruction(x, target, 1e-9)
@@ -242,7 +251,7 @@ def solve_two_group(lambda3: float, lambda4: float, l1: int, l2: int) -> IEPSolu
     head = (mean + root, mean - root)
 
     g = GroupedVector((h3, h4), (l1, l2))
-    core_spectrum = eig_small_general(build_dk(g))
+    core_spectrum = _core_spectrum(build_dk(g), g.multiplicities)
     if not multisets_close(head, core_spectrum.values, 1e-9):
         raise CellMatrixError(
             f"internal cross-check failed: radical head {head} disagrees with "
@@ -259,9 +268,9 @@ def solve_grouped(g: GroupedSpec) -> IEPSolution:
     """Solve the general grouped family.
 
     The vector repeats ``-tail/2`` per group; the head eigenvalues are the
-    real roots of the closed-form core.  Exactly one head value must be
-    strictly positive and the rest strictly negative (values inside the
-    ``1e-10`` dead zone around zero are rejected as unclassifiable).  The
+    eigenvalues of the closed-form core.  Exactly one head value must be
+    strictly positive and the rest strictly negative (values within
+    ``1e-10 * max|head|`` of zero are rejected as unclassifiable).  The
     dominance property ``lambda1 > |lambda2| + ... + |lambda_k|`` is checked
     as a diagnostic and only warns, since no failure is reachable from a
     genuine construction.
@@ -269,9 +278,10 @@ def solve_grouped(g: GroupedSpec) -> IEPSolution:
     if not isinstance(g, GroupedSpec):
         raise DomainError("solve_grouped expects a GroupedSpec")
     grouping = g.grouped_vector()
-    head = eig_small_general(build_dk(grouping))
+    head = _core_spectrum(build_dk(grouping), grouping.multiplicities)
+    dead_zone = SIGN_DEAD_ZONE * max(abs(v) for v in head.values)
     for v in head.values:
-        if abs(v) < SIGN_DEAD_ZONE:
+        if abs(v) < dead_zone:
             raise DomainError(
                 f"head eigenvalue {v!r} is too close to zero to sign-classify"
             )

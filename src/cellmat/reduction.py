@@ -5,8 +5,9 @@ at least twice, is similar to a block upper-triangular matrix: a k-by-k core
 followed by a diagonal run of the forced eigenvalues -2*x for each group
 value x.  This module performs that reduction with explicit elementary row
 operations (recording every one so the transformation can be replayed and
-audited), builds the closed-form core directly, and combines the two with
-the polynomial root solver into a second, independent spectrum route.
+audited), builds the closed-form core directly, and roots the core, which
+is diagonally similar to a symmetric matrix, with LAPACK.  Together they
+form a second spectrum route, independent of the Jacobi solver.
 """
 
 from __future__ import annotations
@@ -24,8 +25,7 @@ from .cell import (
     _grouping,
     construct_cell_matrix,
 )
-from .eigen import eig_small_general
-from .errors import DomainError
+from .errors import ConvergenceError, DomainError
 
 __all__ = [
     "ElementaryOp",
@@ -90,8 +90,13 @@ def _apply_inplace(a: np.ndarray, op: ElementaryOp) -> None:
     if op.i >= n or op.j >= n:
         raise DomainError(f"elementary op index out of range for order {n}")
     if op.kind == "swap":
-        a[[op.i, op.j], :] = a[[op.j, op.i], :]
-        a[:, [op.i, op.j]] = a[:, [op.j, op.i]]
+        # through views and one saved copy, cheaper than fancy-indexed lists
+        row = a[op.i].copy()
+        a[op.i] = a[op.j]
+        a[op.j] = row
+        column = a[:, op.i].copy()
+        a[:, op.i] = a[:, op.j]
+        a[:, op.j] = column
     else:
         a[op.i, :] += op.lam * a[op.j, :]
         a[:, op.j] -= op.lam * a[:, op.i]
@@ -126,6 +131,27 @@ def build_dk(g: GroupedVector) -> np.ndarray:
             else:
                 core[i, j] = l[a] * (x[a] + x[b])
     return core
+
+
+def _core_spectrum(core: np.ndarray, multiplicities) -> Spectrum:
+    """Eigenvalues of a k-by-k core laid out as :func:`build_dk` lays it out.
+
+    Off the diagonal the core is ``l[a] * (x[a] + x[b])``, so conjugating it
+    by ``diag(sqrt(l))`` in the core's reversed group order gives the
+    symmetric ``sqrt(l[a] l[b]) * (x[a] + x[b])``.  Only the off-diagonal
+    entries are scaled, which keeps the diagonal bit for bit.  The result
+    must be symmetric within ``1e-12 * max|M|`` (``eigvalsh`` reads one
+    triangle only); LAPACK then roots it.
+    """
+    root_l = np.sqrt(np.array(multiplicities[::-1], dtype=float))
+    scale = root_l[:, None] / root_l
+    np.fill_diagonal(scale, 1.0)
+    symmetric = _checked_matrix(core * scale, symmetric=True)
+    try:
+        values = np.linalg.eigvalsh(symmetric)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"LAPACK did not converge on the core: {exc}") from None
+    return Spectrum(tuple(values.tolist()))
 
 
 @dataclass(frozen=True)
@@ -254,11 +280,10 @@ def reduce_grouped(x, tol: float = 1e-12) -> ReductionResult:
 def spectrum_via_reduction(x, tol: float = 1e-8) -> Spectrum:
     """Spectrum of a grouped cell matrix through the triangular reduction.
 
-    The head eigenvalues come from the characteristic polynomial of the core;
-    the tail is the forced diagonal.  ``tol`` becomes the matching radius of
-    the returned spectrum (it also bounds the imaginary parts tolerated when
-    rooting the core, which are provably spurious here).
+    The head eigenvalues are those of the core that the elimination leaves,
+    symmetrized and rooted by LAPACK; the tail is the forced diagonal.
+    ``tol`` becomes the matching radius of the returned spectrum.
     """
     result = reduce_grouped(x)
-    head = eig_small_general(result.core, tol=tol)
-    return Spectrum(tuple(head.values) + result.known_values(), tolerance=tol)
+    head = _core_spectrum(result.core, [count + 1 for _, count in result.known_blocks])
+    return Spectrum(head.values + result.known_values(), tolerance=tol)

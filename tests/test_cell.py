@@ -275,7 +275,6 @@ _MATRIX_CALLERS = {
     "numeric_determinant": cm.numeric_determinant,
     "matrix_to_json_dict": cm.matrix_to_json_dict,
     "eig_symmetric": cm.eig_symmetric,
-    "char_poly": cm.char_poly,
     "CellMatrix": lambda m: cm.CellMatrix(order=len(m), entries=m),
     "matrix_from_json_dict": lambda m: cm.matrix_from_json_dict({"n": len(m), "rows": m}),
     "apply_similarity": lambda m: cm.apply_similarity(m, cm.ElementaryOp("swap", 0, 1)),

@@ -280,6 +280,7 @@ def test_missing_required_flag(capsys):
         (["verify-membership", "--spectrum", "[Infinity,-2,-2]", "--tails", "[-2]",
           "--mult", "[3]"], 3),
         (["construct", "--vector", "[" * 100000 + "]" * 100000], 2),
+        (["solve3", "--spectrum", "[3e-13,-1e-13,-1e-13]"], 3),
     ],
 )
 def test_bad_input_exit_code(capsys, argv, code):
@@ -295,6 +296,47 @@ def test_unreadable_input_file_is_a_parse_error(tmp_path, capsys):
         code, out, _ = run_cli(capsys, "construct", "--vector", argument)
         assert code == 2
         assert json.loads(out)["error"]["kind"] == "parse"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve3", "--spectrum", "[3.3e120,-2.2e120,-1.1e120]"],
+        ["solve3", "--spectrum", "[3e200,-2e200,-1e200]"],
+        ["solve3", "--spectrum", "[3e-300,-2e-300,-1e-300]"],
+        ["verify-membership", "--spectrum", "[4e-300,-2e-300,-2e-300]", "--tails", "[-2e-300]",
+         "--mult", "[3]"],
+        ["solve-grouped", "--tails", "[-2e-300,-3e-300,-5e-300]", "--mult", "[4,4,5]"],
+    ],
+)
+def test_solvers_are_relative_to_the_scale(capsys, argv):
+    payload, _ = run_json(capsys, *argv)
+    if argv[0] == "verify-membership":
+        assert payload["accepted"] is True
+    else:
+        # the cell matrix of the answer has the requested spectrum
+        m = cm.construct_cell_matrix(payload["x"]).entries
+        expected = np.sort(payload["spectrum"])
+        actual = np.sort(cm.eig_symmetric(m).values)
+        assert np.abs(actual - expected).max() <= 1e-9 * np.abs(expected).max()
+
+
+def test_spectrum_routes_agree_at_k_100(capsys):
+    x = [v for v in np.linspace(0.5, 50.0, 100).tolist() for _ in range(2)]
+    payload, _ = run_json(capsys, "spectrum", "--vector", json.dumps(x))
+    assert payload["agree"] is True
+    lapack = np.linalg.eigvalsh(cm.construct_cell_matrix(x).entries)
+    error = np.abs(np.sort(payload["via_reduction"]) - lapack).max()
+    assert error <= 1e-8 * np.abs(lapack).max()
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e150])
+@pytest.mark.parametrize(
+    "x", [[1, 1, 2, 2, 3, 3], [0.3, 5, 0.3, 7, 5, 7, 2, 2, 9, 9], list(range(1, 9)) * 3]
+)
+def test_spectrum_routes_agree_far_from_scale_one(capsys, x, scale):
+    payload, _ = run_json(capsys, "spectrum", "--vector", json.dumps([scale * v for v in x]))
+    assert payload["agree"] is True
 
 
 @pytest.mark.parametrize("vector", ["[1e-13,2e-13,3e-13,4e-13]", "[1e-300,2e-300,3e-300]"])
@@ -386,8 +428,11 @@ def test_spectrum_scales_with_the_vector(x, exponent):
     base = np.array(cm.eig_symmetric(cm.construct_cell_matrix(x).entries).values)
     assert np.abs(scaled - s * base).max() <= 1e-12 * np.abs(scaled).max()
     code, out = _main_quietly(["spectrum", f"--vector={json.dumps(xs)}", "--tol=1e-8"])
-    assert code in (0, 4)
-    if code == 0 and json.loads(out)["agree"]:
-        via_reduction = np.sort(json.loads(out)["via_reduction"])
+    assert code == 0
+    payload = json.loads(out)
+    if all(x.count(v) >= 2 for v in x):
+        assert payload["agree"] is True
+    if payload["agree"]:
+        via_reduction = np.sort(payload["via_reduction"])
         lapack = np.linalg.eigvalsh(m)
         assert np.abs(via_reduction - lapack).max() <= 1e-8 * np.abs(lapack).max()

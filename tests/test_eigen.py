@@ -134,114 +134,3 @@ def test_cell_matrices_have_one_positive_eigenvalue():
         s = cm.eig_symmetric(cm.construct_cell_matrix(x).entries)
         assert sum(1 for v in s.values if v > 0.0) == 1
         assert sum(1 for v in s.values if v < 0.0) == len(s) - 1
-
-
-# --- characteristic polynomial ----------------------------------------------
-
-
-def test_char_poly_pair():
-    p = cm.char_poly([[0.0, 2.0], [2.0, 0.0]])
-    assert p.coefficients == (-4.0, 0.0, 1.0)
-
-
-def test_char_poly_cubic_family():
-    a = (math.sqrt(3.0) - 0.5, 0.5, 0.5)
-    p = cm.char_poly(cm.construct_cell_matrix(a).entries)
-    assert np.allclose(p.coefficients, (-6.0, -7.0, 0.0, 1.0), atol=1e-12)
-
-
-def test_char_poly_core_2x2():
-    # trace 28, determinant 20*8 - 15*18 = -110
-    p = cm.char_poly([[20.0, 15.0], [18.0, 8.0]])
-    assert np.allclose(p.coefficients, (-110.0, -28.0, 1.0), atol=1e-12)
-
-
-def test_char_poly_guard():
-    with pytest.raises(DomainError, match="guard"):
-        cm.char_poly(np.eye(33))
-
-
-def test_char_poly_vanishes_at_eigenvalues():
-    rng = np.random.default_rng(13)
-    for _ in range(10):
-        a = _random_symmetric(rng, int(rng.integers(2, 9)))
-        p = cm.char_poly(a)
-        scale = max(abs(c) for c in p.coefficients)
-        for v in cm.eig_symmetric(a).values:
-            assert abs(p(v)) <= 1e-6 * max(1.0, scale)
-
-
-# --- polynomial roots ---------------------------------------------------------
-
-
-def test_poly_roots_quadratic():
-    roots = cm.poly_roots(cm.Polynomial((-4.0, 0.0, 1.0)))
-    assert np.allclose(sorted(r.real for r in roots), [-2.0, 2.0], atol=1e-12)
-    assert all(r.imag == 0.0 for r in roots)
-
-
-def test_poly_roots_cubic():
-    # x^3 - 7x - 6 = (x - 3)(x + 1)(x + 2)
-    roots = cm.poly_roots(cm.Polynomial((-6.0, -7.0, 0.0, 1.0)))
-    assert np.allclose(sorted(r.real for r in roots), [-2.0, -1.0, 3.0], atol=1e-10)
-    assert max(abs(r.imag) for r in roots) <= 1e-10
-
-
-def test_poly_roots_core_radicals():
-    roots = cm.poly_roots(cm.Polynomial((-110.0, -28.0, 1.0)))
-    expected = sorted([14.0 - math.sqrt(306.0), 14.0 + math.sqrt(306.0)])
-    assert np.allclose(sorted(r.real for r in roots), expected, atol=1e-10)
-
-
-def test_poly_roots_degree_one_exact():
-    assert cm.poly_roots(cm.Polynomial((-7.5, 1.0))) == (complex(7.5),)
-
-
-def test_poly_roots_validates():
-    with pytest.raises(DomainError, match="monic"):
-        cm.poly_roots(cm.Polynomial((1.0, 2.0)))
-    with pytest.raises(DomainError, match="degree"):
-        cm.poly_roots(cm.Polynomial((1.0,)))
-
-
-def test_poly_roots_iteration_budget():
-    with pytest.raises(ConvergenceError, match="converge"):
-        cm.poly_roots(cm.Polynomial((-6.0, -7.0, 0.0, 1.0)), max_iter=2)
-
-
-def test_poly_roots_count_matches_degree():
-    rng = np.random.default_rng(15)
-    for _ in range(10):
-        deg = int(rng.integers(1, 9))
-        coeffs = tuple(rng.uniform(-5.0, 5.0, size=deg)) + (1.0,)
-        roots = cm.poly_roots(cm.Polynomial(coeffs))
-        assert len(roots) == deg
-
-
-def test_poly_roots_agree_with_jacobi():
-    rng = np.random.default_rng(16)
-    for _ in range(15):
-        n = int(rng.integers(2, 13))
-        a = _random_symmetric(rng, n)
-        via_jacobi = cm.eig_symmetric(a).values
-        roots = cm.poly_roots(cm.char_poly(a))
-        assert cm.multisets_close([r.real for r in roots], via_jacobi, 1e-7)
-        assert max(abs(r.imag) for r in roots) <= 1e-7 * max(1.0, max(abs(r) for r in roots))
-
-
-# --- small general solver ------------------------------------------------------
-
-
-def test_eig_small_general_core_2x2():
-    s = cm.eig_small_general([[20.0, 15.0], [18.0, 8.0]])
-    assert s.matches(ref.HEAD_11, tol=1e-10)
-
-
-def test_eig_small_general_core_3x3():
-    s = cm.eig_small_general(ref.CORE_13)
-    assert s.matches(ref.HEAD_13, tol=1e-9)
-
-
-def test_eig_small_general_rejects_rotation():
-    with pytest.raises(DomainError, match="complex"):
-        cm.eig_small_general([[0.0, 1.0], [-1.0, 0.0]])

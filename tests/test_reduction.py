@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import cellmat as cm
-from cellmat import DomainError, ElementaryOp
+from cellmat import ConvergenceError, DomainError, ElementaryOp
+from cellmat.reduction import _core_spectrum
 
 import reference_data as ref
 from helpers import random_grouped_vector
@@ -192,10 +193,13 @@ def test_similarity_preserves_char_poly():
         if np.abs(a).max() > 100.0 * max(1.0, np.abs(m).max()):
             continue  # conditioning guard: rerolls badly amplified sequences
         trials += 1
-        p_original = cm.char_poly(m).coefficients
-        p_transformed = cm.char_poly(a).coefficients
-        for c0, c1 in zip(p_original, p_transformed):
-            assert abs(c0 - c1) <= 1e-8 * max(1.0, abs(c0), abs(c1))
+        # same characteristic polynomial: the nonsymmetric a has the
+        # eigenvalues of the symmetric m
+        original = np.linalg.eigvalsh(m)
+        transformed = np.linalg.eigvals(a)
+        tol = 1e-8 * np.abs(original).max()
+        assert np.abs(transformed.imag).max() <= tol
+        assert np.abs(np.sort(transformed.real) - original).max() <= tol
 
 
 # --- spectrum via reduction ---------------------------------------------------------
@@ -230,3 +234,53 @@ def test_reduce_grouping_is_relative():
     result = cm.reduce_grouped(x)
     assert result.known_blocks == ((-4e-13, 1), (-2e-13, 1))
     assert result.sort_permutation == (0, 2, 1, 3)
+
+
+def _six_decade_instance(rng, k, n):
+    """Distinct group values log-uniform over 1e-3..1e3, sizes >= 2 summing to n."""
+    while True:
+        values = np.sort(10.0 ** rng.uniform(-3.0, 3.0, size=k))
+        if k == 1 or np.min(np.diff(values) / values[1:]) > 1e-6:
+            break
+    mults = np.full(k, 2)
+    np.add.at(mults, rng.integers(0, k, size=n - 2 * k), 1)
+    return tuple(values.tolist()), tuple(mults.tolist())
+
+
+@pytest.mark.parametrize("k", range(1, 33))
+def test_both_core_routes_match_lapack_for_every_k(k):
+    rng = np.random.default_rng(500 + k)
+    for n in sorted({2 * k, int(rng.integers(2 * k, 201)), 200}):
+        values, mults = _six_decade_instance(rng, k, n)
+        x = np.repeat(values, mults)
+        lapack = np.linalg.eigvalsh(cm.construct_cell_matrix(x).entries)
+        tol = 1e-8 * np.abs(lapack).max()
+        routes = {
+            "reduction": cm.spectrum_via_reduction(rng.permutation(x)),
+            "grouped": cm.solve_grouped(
+                cm.GroupedSpec(tuple(-2.0 * v for v in values), mults)
+            ).full_spectrum,
+        }
+        for name, spectrum in routes.items():
+            error = np.abs(np.sort(spectrum.values) - lapack).max()
+            assert error <= tol, (name, n, error / tol)
+
+
+def test_core_with_an_asymmetric_entry_is_rejected():
+    g = cm.GroupedVector((1.0, 2.0, 3.0), (2, 3, 4))
+    core = cm.build_dk(g)
+    assert _core_spectrum(core, g.multiplicities).matches(
+        np.linalg.eigvals(core).real, tol=1e-12
+    )
+    core[0, 2] *= 1.0 + 1e-9
+    with pytest.raises(DomainError, match="symmetric"):
+        _core_spectrum(core, g.multiplicities)
+
+
+def test_core_lapack_failure_is_a_convergence_error(monkeypatch):
+    def fail(_):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    with pytest.raises(ConvergenceError, match="LAPACK"):
+        cm.spectrum_via_reduction([1.0, 1.0, 2.0, 2.0])
